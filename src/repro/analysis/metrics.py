@@ -74,10 +74,15 @@ def improvement(baseline: float, ours: float) -> float:
 def performance_ratio(
     ours: Sequence[float], upper_bound: Sequence[float]
 ) -> float:
-    """Mean ratio of our recalls to the optimal* upper bound (§V-C).
+    """Mean ratio of our recalls to the relaxed optimal* (§V-C).
 
-    Items where the upper bound is 0 are skipped (no value available means
-    every policy is trivially optimal there).
+    ``upper_bound`` is the paper's name for optimal*, but the relaxed
+    greedy it is computed by is not a true upper bound: with overlapping
+    labels an exact schedule can beat it (see
+    :class:`~repro.scheduling.deadline.RelaxedOptimalDeadline`).  Each
+    item's ratio is therefore capped at 1.  Items where optimal* is 0
+    are skipped (no value available means every policy is trivially
+    optimal there).
     """
     ours_arr = np.asarray(ours, dtype=np.float64)
     upper = np.asarray(upper_bound, dtype=np.float64)

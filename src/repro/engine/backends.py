@@ -9,9 +9,9 @@ traces identical to :class:`SerialBackend`, the single-item reference:
 * :class:`SerialBackend` — one item at a time, exactly the pre-engine code
   path; the parity baseline.
 * :class:`BatchedBackend` — vectorized: all in-flight items advance in
-  lock-step rounds, with **one** stacked Q-network forward pass per round
-  across the whole batch, in *every* regime — unconstrained, deadline,
-  and deadline+memory all delegate to their scheduler's
+  lock-step rounds, with at most **one** stacked Q-network forward pass
+  per round across the whole batch, in *every* regime — unconstrained,
+  deadline, and deadline+memory all delegate to their scheduler's
   ``schedule_batch`` dispatch tick.  Selection per item replays the
   serial rule (masked ``argmax`` with first-index tie-breaking), so
   traces stay identical while network cost is amortized over the batch.
@@ -19,7 +19,10 @@ traces identical to :class:`SerialBackend`, the single-item reference:
   forward may differ in the last ULP on some BLAS builds, so exact
   parity additionally assumes no two candidate Q values sit within that
   rounding distance — vanishingly rare with continuous weights, and
-  enforced empirically by the parity tests on seeded worlds.
+  enforced empirically by the parity tests on seeded worlds.  With
+  Q-row reuse a row's values may come from an earlier round's stacked
+  forward (the last one that saw the row's current label vector); the
+  caveat applies to that forward in the same way.
 * :class:`ThreadPoolBackend` — per-item scheduling fanned out over a thread
   pool, for custom predictors without a batch path.  The GIL caps it near
   one core: scheduling is CPU-bound pure Python with small numpy calls,
@@ -171,20 +174,33 @@ class SerialBackend(ExecutionBackend):
 
 
 class BatchedBackend(ExecutionBackend):
-    """Vectorized lock-step rounds with one stacked forward per round.
+    """Vectorized lock-step rounds with at most one stacked forward each.
 
     Every regime delegates to its scheduler's ``schedule_batch`` dispatch
     tick: round ``k`` of the batch corresponds to step ``k`` of each
     serial run (one selection per item per round; for deadline+memory,
     one pivot wave plus one completion per round), so the observations
-    stacked for the round are the very states the serial loop would have
-    predicted on.  Selection is a masked argmax over the
-    ``(B, n_models)`` score matrix — identical elementwise math and
-    first-index tie-breaking as the serial subset argmax, hence
-    per-item trace parity with :class:`SerialBackend` (see the module
-    docstring for the stacked-forward ULP caveat).  Items leave the
-    batch when their serial stop condition fires (budget exhausted, all
-    models run, ``max_models`` hit).
+    predicted on in the round are the very states the serial loop would
+    have predicted on.  The batch's states live in a columnar
+    :class:`~repro.scheduling.batch.BatchState`, whose float64
+    observation matrix is the forward input as it stands.
+
+    **Q-row reuse.**  For a predictor whose class declares
+    ``reads_vector_only`` (:class:`~repro.scheduling.qgreedy.AgentPredictor`
+    and its subclasses) the tick keeps a ``(B, n_models)`` Q matrix and
+    forwards only the rows whose label vector changed since they were
+    last predicted; round 1 forwards the shared all-zero row once.  Every
+    other predictor sees every active state every round.
+
+    Selection is a masked argmax over the ``(B, n_models)`` score
+    matrix — identical elementwise math and first-index tie-breaking as
+    the serial subset argmax, hence per-item trace parity with
+    :class:`SerialBackend`.  See the module docstring for the
+    stacked-forward ULP caveat; a reused row carries the values an
+    earlier round's stacked forward computed for the same label vector,
+    so the caveat covers it unchanged.  Items leave the batch when their
+    serial stop condition fires (budget exhausted, all models run,
+    ``max_models`` hit).
     """
 
     name = "batched"

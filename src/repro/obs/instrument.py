@@ -13,7 +13,7 @@ benchmark compare instrumented against uninstrumented dispatch honestly.
 schedule tick records, per regime:
 
 * ``repro_sched_tick_seconds``        — per-round tick duration (summary)
-* ``repro_sched_rounds_total``        — rounds, i.e. stacked Q-forwards
+* ``repro_sched_rounds_total``        — rounds (at most one stacked Q-forward each)
 * ``repro_sched_models_executed_total`` — model executions selected
 * ``repro_sched_batches_total`` / ``repro_sched_batch_items_total``
 
@@ -67,7 +67,7 @@ class TickInstrumentation:
         )
         self._rounds = registry.counter(
             "repro_sched_rounds_total",
-            "Dispatch-tick rounds run (one stacked Q-forward each)",
+            "Dispatch-tick rounds run (at most one stacked Q-forward each)",
             labelnames=("regime",),
         )
         self._models = registry.counter(
@@ -100,25 +100,51 @@ class TickInstrumentation:
             "Wall seconds per engine batch dispatch (record+schedule)",
             labelnames=("backend", "regime"),
         )
+        # Child series per label combination, resolved once: a batch
+        # folds in at a fixed cost that a fast tick must not feel.
+        self._batch_series: dict[str, tuple] = {}
+        self._engine_series: dict[tuple[str, str], tuple] = {}
 
     def observe_batch(
         self, regime: str, items: int, rounds: int, executed: int, ticks
     ) -> None:
         """Fold one finished schedule_batch into the registry."""
-        self._batches.labels(regime=regime).inc()
-        self._batch_items.labels(regime=regime).inc(items)
-        self._rounds.labels(regime=regime).inc(rounds)
-        self._models.labels(regime=regime).inc(executed)
-        hist = self._tick_seconds.labels(regime=regime)
-        for seconds in ticks:
-            hist.observe(seconds)
+        series = self._batch_series.get(regime)
+        if series is None:
+            series = self._batch_series[regime] = tuple(
+                family.labels(regime=regime)
+                for family in (
+                    self._batches,
+                    self._batch_items,
+                    self._rounds,
+                    self._models,
+                    self._tick_seconds,
+                )
+            )
+        batches, batch_items, rounds_total, models, hist = series
+        batches.inc()
+        batch_items.inc(items)
+        rounds_total.inc(rounds)
+        models.inc(executed)
+        hist.observe_many(ticks)
 
     def observe_engine(
         self, backend: str, regime: str, items: int, seconds: float
     ) -> None:
-        self._engine_batches.labels(backend=backend, regime=regime).inc()
-        self._engine_items.labels(backend=backend, regime=regime).inc(items)
-        self._engine_seconds.labels(backend=backend, regime=regime).observe(seconds)
+        series = self._engine_series.get((backend, regime))
+        if series is None:
+            series = self._engine_series[backend, regime] = tuple(
+                family.labels(backend=backend, regime=regime)
+                for family in (
+                    self._engine_batches,
+                    self._engine_items,
+                    self._engine_seconds,
+                )
+            )
+        batches, engine_items, engine_seconds = series
+        batches.inc()
+        engine_items.inc(items)
+        engine_seconds.observe(seconds)
 
 
 class BatchTickObserver:

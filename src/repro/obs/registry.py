@@ -253,16 +253,21 @@ class _HistogramValue:
         self._rng = random.Random(seed)
 
     def observe(self, value: float) -> None:
-        value = float(value)
+        self.observe_many((value,))
+
+    def observe_many(self, values) -> None:
+        """Observe each of ``values`` in order, taking the lock once."""
         with self._lock:
-            self.count += 1
-            self.total += value
-            if len(self._samples) < self.capacity:
-                self._samples.append(value)
-                return
-            slot = self._rng.randrange(self.count)
-            if slot < self.capacity:
-                self._samples[slot] = value
+            for value in values:
+                value = float(value)
+                self.count += 1
+                self.total += value
+                if len(self._samples) < self.capacity:
+                    self._samples.append(value)
+                    continue
+                slot = self._rng.randrange(self.count)
+                if slot < self.capacity:
+                    self._samples[slot] = value
 
     def quantiles(self, qs=SUMMARY_QUANTILES) -> dict[float, float]:
         with self._lock:

@@ -7,8 +7,8 @@ cost-profit greedy rule with the DRL prediction standing in for the unknown
 profit.
 
 This module also provides the baselines of Fig. 10: the cost-oblivious
-Q-greedy, the random-under-deadline policy, and the relaxed optimal*
-upper bound of §V-C (fractional last model).
+Q-greedy, the random-under-deadline policy, and the relaxed optimal* of
+§V-C (fractional last model) — a reference value, not an upper bound.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from repro.scheduling.base import (
     ScheduleTrace,
     execute_serially,
 )
-from repro.scheduling.qgreedy import QValuePredictor
+from repro.scheduling.batch import BatchState
+from repro.scheduling.qgreedy import BatchPredictions, QValuePredictor
 from repro.zoo.oracle import GroundTruth
 
 
@@ -76,66 +77,53 @@ class CostQGreedyScheduler:
     ) -> list[ScheduleTrace]:
         """Algorithm 1 over many items in vectorized lock-step rounds.
 
-        Each round issues **one** ``predict_batch`` call for every
-        in-flight item and selects per item by masking the
-        ``(B, n_models)`` ratio matrix ``Q / time`` with the combined
-        remaining+affordability boolean mask and taking a row-wise
-        argmax.  Ratios are the same elementwise divisions the serial
-        loop computes on its affordable subset and ``argmax`` keeps
-        first-index tie-breaking, so per-item traces replay
-        :meth:`schedule` exactly (stacked-forward ULP caveat aside, see
-        :class:`~repro.engine.backends.BatchedBackend`).  An item leaves
-        the batch when its serial stop condition fires: budget spent, no
-        affordable model left, or all models executed.
+        Each round issues at most **one** ``predict_batch`` call for the
+        in-flight items that can still afford a model (see
+        :class:`~repro.scheduling.qgreedy.BatchPredictions`) and selects
+        per item by masking the ``(B, n_models)`` ratio matrix
+        ``Q / time`` with the combined remaining+affordability boolean
+        mask and taking a row-wise argmax.  Ratios are the same
+        elementwise divisions the serial loop computes on its affordable
+        subset and ``argmax`` keeps first-index tie-breaking, so per-item
+        traces replay :meth:`schedule` exactly (stacked-forward ULP
+        caveat aside, see :class:`~repro.engine.backends.BatchedBackend`).
+        An item leaves the batch when its serial stop condition fires:
+        budget spent, no affordable model left, or all models executed.
         """
         if time_budget < 0:
             raise ValueError("time_budget must be non-negative")
         times = truth.zoo.times
-        states = [LabelingState(truth, item_id) for item_id in item_ids]
-        traces = [
-            ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-            for item_id in item_ids
-        ]
-        clocks = [0.0] * len(states)
-        budgets = np.full(len(states), float(time_budget))
-        active = [
-            i
-            for i, s in enumerate(states)
-            if budgets[i] > 0 and not s.all_executed
-        ]
+        batch = BatchState(truth, item_ids)
+        predict = BatchPredictions(self.predictor, batch)
+        budgets = np.full(len(batch), float(time_budget))
+        active = np.flatnonzero((budgets > 0) & ~batch.executed.all(axis=1))
         # None unless obs instrumentation is installed; the bare path pays
         # one branch per round and no timing calls.
         observer = batch_observer("deadline", len(item_ids))
-        while active:
+        while len(active):
             if observer is not None:
                 tick_started = perf_counter()
-            q_batch = self.predictor.predict_batch([states[i] for i in active])
-            executed = np.stack([states[i].executed for i in active])
             affordable = times[None, :] <= budgets[active, None] + TOLERANCE
-            mask = ~executed & affordable
+            mask = ~batch.executed[active] & affordable
+            # The serial loop stops before predicting when nothing is
+            # affordable; those items leave the batch here.
+            selectable = mask.any(axis=1)
+            active, mask = active[selectable], mask[selectable]
+            if not len(active):
+                break
+            q_batch = predict(active)
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratios = np.where(mask, q_batch / times[None, :], -np.inf)
             picks = np.argmax(ratios, axis=1)
-            selectable = mask.any(axis=1)
-            still_active = []
-            for row, i in enumerate(active):
-                if not selectable[row]:
-                    continue
-                best = int(picks[row])
-                clocks[i] = execute_serially(
-                    states[i], traces[i], truth, best, clocks[i]
-                )
-                budgets[i] -= float(times[best])
-                if budgets[i] > 0 and not states[i].all_executed:
-                    still_active.append(i)
-            active = still_active
+            batch.execute_serially(active, picks)
+            budgets[active] -= times[picks]
+            selected = len(active)
+            active = active[(budgets[active] > 0) & ~batch.executed[active].all(axis=1)]
             if observer is not None:
-                observer.tick(
-                    perf_counter() - tick_started, int(selectable.sum())
-                )
+                observer.tick(perf_counter() - tick_started, selected)
         if observer is not None:
             observer.done()
-        return traces
+        return batch.traces()
 
 
 class QGreedyDeadlineScheduler:
@@ -194,13 +182,23 @@ class RandomDeadlineScheduler:
 
 
 class RelaxedOptimalDeadline:
-    """The optimal* upper bound of §V-C for the deadline constraint.
+    """The relaxed optimal* of §V-C for the deadline constraint.
 
     Greedy on the true marginal gain per unit time; when the remaining
     budget cannot fit the selected model, the model still contributes the
     corresponding *proportion* of its marginal value (relaxation), after
-    which scheduling stops.  The returned value upper-bounds every exact
-    policy's value, so `ours / optimal*` lower-bounds the true ratio.
+    which scheduling stops.
+
+    This is **not** an upper bound on exact schedules.  The fractional
+    last model bounds the fractional knapsack only when values add up;
+    label value is a coverage function, so greedy's early picks shrink
+    later gains and a different exact set can collect more.  Three
+    half-budget models with labels ``{0, 1}``, ``{0, 2}``, ``{1, 3}``
+    give optimal* 3 (the first two) while the last two reach 4, and
+    Algorithm 1 driven by Q values that prefer them reaches 4 as well
+    (pinned in ``tests/test_deadline_scheduling.py``).  ``ours /
+    optimal*`` can therefore exceed 1;
+    :func:`~repro.analysis.metrics.performance_ratio` caps it there.
     """
 
     name = "optimal_star_deadline"

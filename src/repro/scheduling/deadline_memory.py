@@ -30,7 +30,9 @@ from repro.core.evaluation import marginal_gain
 from repro.core.state import LabelingState
 from repro.obs.instrument import batch_observer
 from repro.scheduling.base import ScheduledExecution, ScheduleTrace
-from repro.scheduling.qgreedy import QValuePredictor
+from repro.scheduling.batch import BatchState
+from repro.scheduling.qgreedy import BatchPredictions, QValuePredictor
+from repro.zoo.model import ModelZoo
 from repro.zoo.oracle import GroundTruth
 
 
@@ -44,62 +46,70 @@ class _Running:
     start_time: float = 0.0
 
 
-class _ParallelSim:
-    """Shared bookkeeping for the parallel schedulers below."""
+class _ParallelClock:
+    """Clock, free memory and running models of one parallel simulation."""
 
-    def __init__(self, truth: GroundTruth, item_id: str, memory_budget: float):
-        self.truth = truth
-        self.state = LabelingState(truth, item_id)
-        self.trace = ScheduleTrace(
-            item_id=item_id, total_value=truth.total_value(item_id)
-        )
+    def __init__(
+        self,
+        zoo: ModelZoo,
+        memory_budget: float,
+        startable: np.ndarray | None = None,
+    ):
+        self.zoo = zoo
         self.clock = 0.0
         self.free_mem = memory_budget
         self.heap: list[_Running] = []
-        self.started: set[int] = set()
-
-    @property
-    def startable_mask(self) -> np.ndarray:
-        """Boolean mask of models neither finished nor currently running."""
-        pending = ~self.state.executed
-        for running in self.heap:
-            pending[running.model_index] = False
-        for started in self.started:
-            pending[started] = False
-        return pending
+        #: Models never started (so neither running nor finished).
+        #: :meth:`start` clears a bit; nothing ever rescans the heap.
+        self.startable_mask = (
+            np.ones(len(zoo), dtype=bool) if startable is None else startable
+        )
 
     @property
     def startable(self) -> np.ndarray:
         """Models neither finished nor currently running (indices)."""
-        return np.nonzero(self.startable_mask)[0]
+        return self.startable_mask.nonzero()[0]
 
     def start(self, index: int) -> None:
-        model = self.truth.zoo[index]
+        model = self.zoo[index]
         if model.mem > self.free_mem + 1e-9:
             raise RuntimeError(f"model {model.name} does not fit in memory")
         self.free_mem -= model.mem
-        self.started.add(index)
+        self.startable_mask[index] = False
         heapq.heappush(
             self.heap,
             _Running(self.clock + model.time, index, start_time=self.clock),
         )
 
-    def finish_next(self) -> None:
-        """Advance the clock to the next completion and record it."""
+    def pop_next(self) -> _Running:
+        """Advance the clock to the next completion and release its memory."""
         running = heapq.heappop(self.heap)
+        self.free_mem += self.zoo[running.model_index].mem
+        self.clock = running.finish_time
+        return running
+
+
+class _ParallelSim(_ParallelClock):
+    """A parallel simulation that owns its item's state and trace."""
+
+    def __init__(self, truth: GroundTruth, item_id: str, memory_budget: float):
+        super().__init__(truth.zoo, memory_budget)
+        self.state = LabelingState(truth, item_id)
+        self.trace = ScheduleTrace(
+            item_id=item_id, total_value=truth.total_value(item_id)
+        )
+
+    def finish_next(self) -> None:
+        """Advance to the next completion and record its output."""
+        running = self.pop_next()
         index = running.model_index
-        model = self.truth.zoo[index]
         before = self.state.value
         _, new_confs = self.state.execute(index)
-        self.free_mem += model.mem
-        start_time = running.start_time
-        self.clock = running.finish_time
-        self.started.discard(index)
         self.trace.executions.append(
             ScheduledExecution(
                 model_index=index,
-                model_name=model.name,
-                start_time=start_time,
+                model_name=self.zoo[index].name,
+                start_time=running.start_time,
                 finish_time=running.finish_time,
                 marginal_value=self.state.value - before,
                 new_labels=len(new_confs),
@@ -212,48 +222,68 @@ class MemoryDeadlineScheduler:
 
         Round ``k`` of the batch is iteration ``k`` of each item's serial
         simulation loop (each iteration starts a pivot wave and retires
-        one completion), so the stacked states predicted each round are
-        exactly the states the serial loop would have predicted on —
-        **one** ``predict_batch`` call per round instead of one
-        ``predict`` per item per round.  Pivot selection is a masked
+        one completion), so the states predicted each round are exactly
+        the states the serial loop would have predicted on — at most
+        **one** ``predict_batch`` call per round (see
+        :class:`~repro.scheduling.qgreedy.BatchPredictions`) instead of
+        one ``predict`` per item per round.  Pivot selection is a masked
         argmax over the ``(B, n_models)`` matrix ``Q / (time × mem)``
         with the combined startable/memory-fit/deadline-fit boolean
         mask; the fill passes then replay serially per item (each start
-        consumes that item's free memory).  An item leaves the batch when
-        its serial loop would exit; its still-running models drain
-        exactly as in :meth:`schedule`.
+        consumes that item's free memory).  The round's completions
+        update the labeling states together, after every item's fill:
+        a completion changes only its own item's labels, which that
+        item's fill has already finished reading.  An item leaves the
+        batch when its serial loop would exit; its still-running models
+        drain exactly as in :meth:`schedule`.
         """
         if time_budget < 0 or memory_budget < 0:
             raise ValueError("budgets must be non-negative")
         times = truth.zoo.times
         mems = truth.zoo.mems
         areas = times * mems
-        sims = [_ParallelSim(truth, item_id, memory_budget) for item_id in item_ids]
+        batch = BatchState(truth, item_ids)
+        predict = BatchPredictions(self.predictor, batch)
+        startable = np.ones_like(batch.executed)
+        sims = [
+            _ParallelClock(truth.zoo, memory_budget, startable[row])
+            for row in range(len(batch))
+        ]
 
-        def continues(sim: _ParallelSim) -> bool:
+        def continues(sim: _ParallelClock) -> bool:
             """The serial loop's entry condition (top-of-loop checks)."""
             if not sim.clock < time_budget:
                 return False
             return bool(sim.startable_mask.any()) or bool(sim.heap)
 
-        active = [i for i, sim in enumerate(sims) if continues(sim)]
+        def finish(rows: list[int]) -> None:
+            """Retire the next completion of every row in ``rows``."""
+            if not rows:
+                return
+            done = [sims[row].pop_next() for row in rows]
+            batch.execute(
+                np.asarray(rows, dtype=np.int64),
+                np.asarray([r.model_index for r in done], dtype=np.int64),
+                np.asarray([r.start_time for r in done]),
+                np.asarray([r.finish_time for r in done]),
+            )
+
+        active = [row for row, sim in enumerate(sims) if continues(sim)]
         # None unless obs instrumentation is installed; the bare path pays
         # one branch per round and no timing calls.
         observer = batch_observer("deadline_memory", len(item_ids))
         while active:
             if observer is not None:
                 tick_started = perf_counter()
-            q_batch = self.predictor.predict_batch(
-                [sims[i].state for i in active]
-            )
-            startable = np.stack([sims[i].startable_mask for i in active])
-            free = np.asarray([sims[i].free_mem for i in active])
-            clocks = np.asarray([sims[i].clock for i in active])
+            rows = np.asarray(active)
+            q_batch = predict(rows)
+            free = np.asarray([sims[row].free_mem for row in active])
+            clocks = np.asarray([sims[row].clock for row in active])
             # Pivot: best value per unit (time x memory) area among models
             # that fit free memory and can still finish before the deadline
             # — the same filter as the serial loop, as (B, n_models) masks.
             fits = (
-                startable
+                startable[rows]
                 & (mems[None, :] <= free[:, None] + 1e-9)
                 & (clocks[:, None] + times[None, :] <= time_budget + 1e-9)
             )
@@ -262,35 +292,35 @@ class MemoryDeadlineScheduler:
             pivots = np.argmax(scores, axis=1)
             has_pivot = fits.any(axis=1)
             started = 0
-            still_active = []
-            for row, i in enumerate(active):
-                sim = sims[i]
-                if has_pivot[row]:
-                    pivot = int(pivots[row])
+            finishing = []
+            for k, row in enumerate(active):
+                sim = sims[row]
+                if has_pivot[k]:
+                    pivot = int(pivots[k])
                     sim.start(pivot)
                     temp_deadline = sim.clock + float(times[pivot])
                     started += 1 + self._fill(
                         sim,
-                        q_batch[row],
+                        q_batch[k],
                         times,
                         mems,
                         (temp_deadline, time_budget),
                     )
-                if not sim.heap:
-                    continue
-                sim.finish_next()
-                if continues(sim):
-                    still_active.append(i)
-            active = still_active
+                if sim.heap:
+                    finishing.append(row)
+            finish(finishing)
+            active = [row for row in finishing if continues(sims[row])]
             if observer is not None:
                 observer.tick(perf_counter() - tick_started, started)
         if observer is not None:
             observer.done()
 
-        for sim in sims:
-            while sim.heap:
-                sim.finish_next()
-        return [sim.trace for sim in sims]
+        # Drain everything still running, one completion per item a pass.
+        draining = [row for row, sim in enumerate(sims) if sim.heap]
+        while draining:
+            finish(draining)
+            draining = [row for row in draining if sims[row].heap]
+        return batch.traces()
 
 
 class RandomMemoryDeadlineScheduler:
@@ -332,13 +362,20 @@ class RandomMemoryDeadlineScheduler:
 
 
 class RelaxedOptimalMemoryDeadline:
-    """Optimal* upper bound for the two-dimension constraint (§V-C).
+    """Relaxed optimal* for the two-dimension constraint (§V-C).
 
     Greedy on true marginal gain per unit (time x memory) area with the
     relaxation that the last selected model may contribute a proportional
     fraction of its value.  The relaxation also drops the packing
-    feasibility question (any fractional area fits), so this value is an
-    upper bound on every feasible parallel schedule's value.
+    feasibility question (any fractional area fits).
+
+    Like :class:`~repro.scheduling.deadline.RelaxedOptimalDeadline` this
+    is **not** an upper bound on feasible schedules: label value is a
+    coverage function, so greedy's first pick can shrink the gains of the
+    models an exact schedule would combine.  With one model's memory as
+    the budget the parallel setting degenerates to the serial
+    counterexample documented there (pinned in
+    ``tests/test_deadline_scheduling.py``).
     """
 
     name = "optimal_star_memory"

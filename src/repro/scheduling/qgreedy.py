@@ -9,6 +9,10 @@ predictions.
 "given the labeling state, predict a value per model".  The default
 implementation wraps a trained Q agent (dropping its END head); tests also
 use an oracle predictor to isolate scheduler behaviour from agent quality.
+
+:class:`BatchPredictions` is the vectorized ticks' view of a predictor: a
+per-batch ``(B, n_models)`` Q matrix that, for predictors reading only the
+label vector, forwards just the rows whose vector changed.
 """
 
 from __future__ import annotations
@@ -23,16 +27,25 @@ import numpy as np
 from repro.core.state import LabelingState
 from repro.obs.instrument import batch_observer
 from repro.rl.agents import QAgent
-from repro.scheduling.base import (
-    OrderingPolicy,
-    ScheduleTrace,
-    execute_serially,
-)
+from repro.scheduling.base import OrderingPolicy, ScheduleTrace
+from repro.scheduling.batch import BatchRows, BatchState
 from repro.zoo.oracle import GroundTruth
 
 
 class QValuePredictor:
     """Predicts per-model values from the labeling state."""
+
+    @property
+    def reads_vector_only(self) -> bool:
+        """Whether predictions depend on ``state.vector`` and nothing else.
+
+        When true, the vectorized ticks reuse a row's prediction until its
+        label vector changes (see :class:`BatchPredictions`).  The answer
+        is fixed by the class — a read-only property, not a setting — and
+        the default is false: such predictors see every active state
+        every round.
+        """
+        return False
 
     def predict(self, state: LabelingState) -> np.ndarray:
         """Return one value per zoo model (higher = more promising)."""
@@ -43,7 +56,9 @@ class QValuePredictor:
 
         Default implementation loops over :meth:`predict`; predictors with a
         vectorizable substrate (the Q network) override it with one stacked
-        forward pass.
+        forward pass.  The vectorized ticks pass a
+        :class:`~repro.scheduling.batch.BatchRows`, whose items are
+        read-only views with the :class:`LabelingState` read API.
         """
         return np.stack([self.predict(state) for state in states])
 
@@ -59,12 +74,20 @@ class AgentPredictor(QValuePredictor):
         self.agent = agent
         self.n_models = n_models
 
+    @property
+    def reads_vector_only(self) -> bool:
+        """The Q network sees the label vector and nothing else (§IV)."""
+        return True
+
     def predict(self, state: LabelingState) -> np.ndarray:
         q = self.agent.q_values(state.vector.astype(np.float64))
         return q[: self.n_models]
 
     def predict_batch(self, states: Sequence[LabelingState]) -> np.ndarray:
-        obs = np.stack([state.vector for state in states]).astype(np.float64)
+        if isinstance(states, BatchRows):
+            obs = states.vectors
+        else:
+            obs = np.stack([state.vector for state in states]).astype(np.float64)
         q = self.agent.q_values_batch(obs)
         return q[:, : self.n_models]
 
@@ -150,6 +173,44 @@ class OraclePredictor(QValuePredictor):
         return np.maximum(stacked - confs[:, None, :], 0.0).sum(axis=2)
 
 
+class BatchPredictions:
+    """Q values of a :class:`BatchState`'s rows, one forward per round.
+
+    Calling it with the round's active rows returns their
+    ``(len(rows), n_models)`` predictions from at most **one**
+    :meth:`~QValuePredictor.predict_batch` call.  For a predictor whose
+    :attr:`~QValuePredictor.reads_vector_only` is true it keeps a
+    ``(B, n_models)`` Q matrix and forwards only the rows whose label
+    vector gained a bit since they were last predicted; the others reuse
+    the row computed by an earlier stacked forward on the same input, and
+    a round in which no row changed makes no call.  Every item starts
+    from the all-zero vector, so the first call forwards that row once
+    and shares it across the batch (with ``x = 0`` the first layer is
+    exactly its bias in any BLAS order).  Any other predictor sees every
+    requested row on every call.
+    """
+
+    def __init__(self, predictor: QValuePredictor, batch: BatchState):
+        self.predictor = predictor
+        self.batch = batch
+        self.reuse = predictor.reads_vector_only
+        self._q: np.ndarray | None = None
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        batch = self.batch
+        if not self.reuse:
+            return self.predictor.predict_batch(BatchRows(batch, rows))
+        if self._q is None:
+            first = self.predictor.predict_batch(BatchRows(batch, rows[:1]))
+            self._q = np.repeat(first, len(batch), axis=0)
+        else:
+            stale = rows[batch.changed[rows]]
+            if len(stale):
+                self._q[stale] = self.predictor.predict_batch(BatchRows(batch, stale))
+                batch.changed[stale] = False
+        return self._q[rows]
+
+
 class QGreedyPolicy(OrderingPolicy):
     """Greedy on predicted Q values, ignoring costs (§VI-B)."""
 
@@ -172,9 +233,10 @@ class QGreedyPolicy(OrderingPolicy):
         max_models: int | None = None,
     ) -> list[ScheduleTrace]:
         """Vectorized lock-step rollout of many items: one dispatch tick
-        issues **one** :meth:`~QValuePredictor.predict_batch` call across
-        all in-flight items and selects per item with a masked argmax
-        over the ``(B, n_models)`` score matrix.
+        issues at most **one** :meth:`~QValuePredictor.predict_batch`
+        call across the in-flight items (see :class:`BatchPredictions`)
+        and selects per item with a masked argmax over the
+        ``(B, n_models)`` score matrix.
 
         Round ``k`` of the batch corresponds to step ``k`` of each serial
         run, and masking executed models to ``-inf`` before a row-wise
@@ -184,37 +246,26 @@ class QGreedyPolicy(OrderingPolicy):
         (modulo the stacked-forward ULP caveat documented on
         :class:`~repro.engine.backends.BatchedBackend`).
         """
-        states = [LabelingState(truth, item_id) for item_id in item_ids]
-        traces = [
-            ScheduleTrace(item_id=item_id, total_value=truth.total_value(item_id))
-            for item_id in item_ids
-        ]
-        clocks = [0.0] * len(states)
+        batch = BatchState(truth, item_ids)
+        predict = BatchPredictions(self.predictor, batch)
         limit = max_models if max_models is not None else len(truth.zoo)
-        active = [i for i, s in enumerate(states) if not s.all_executed]
+        active = np.flatnonzero(~batch.executed.all(axis=1))
         rounds = 0
         # None unless obs instrumentation is installed; the bare path pays
         # one branch per round and no timing calls.
         observer = batch_observer("qgreedy", len(item_ids))
-        while active and rounds < limit:
+        while len(active) and rounds < limit:
             if observer is not None:
                 tick_started = perf_counter()
             selected = len(active)
-            q_batch = self.predictor.predict_batch([states[i] for i in active])
-            executed = np.stack([states[i].executed for i in active])
+            q_batch = predict(active)
+            executed = batch.executed[active]
             picks = np.argmax(np.where(executed, -np.inf, q_batch), axis=1)
-            still_active = []
-            for row, i in enumerate(active):
-                index = int(picks[row])
-                clocks[i] = execute_serially(
-                    states[i], traces[i], truth, index, clocks[i]
-                )
-                if not states[i].all_executed:
-                    still_active.append(i)
-            active = still_active
+            batch.execute_serially(active, picks)
+            active = active[~batch.executed[active].all(axis=1)]
             rounds += 1
             if observer is not None:
                 observer.tick(perf_counter() - tick_started, selected)
         if observer is not None:
             observer.done()
-        return traces
+        return batch.traces()

@@ -5,13 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import WorldConfig
+from repro.core.output import LabelOutput, ModelOutput
+from repro.data.datasets import DataItem
 from repro.scheduling.deadline import (
     CostQGreedyScheduler,
     QGreedyDeadlineScheduler,
     RandomDeadlineScheduler,
     RelaxedOptimalDeadline,
 )
-from repro.scheduling.qgreedy import AgentPredictor, OraclePredictor
+from repro.scheduling.deadline_memory import (
+    MemoryDeadlineScheduler,
+    RelaxedOptimalMemoryDeadline,
+)
+from repro.scheduling.qgreedy import (
+    AgentPredictor,
+    OraclePredictor,
+    QValuePredictor,
+)
+from repro.zoo.model import ModelZoo
+from repro.zoo.oracle import GroundTruth
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +142,10 @@ class TestRelaxedOptimal:
     def test_upper_bounds_algorithm1(
         self, truth, predictor, test_item_ids, budget, item
     ):
-        """optimal* must dominate any feasible policy (§V-C)."""
+        """On the mini world's sampled items Algorithm 1 stays within
+        optimal*.  An empirical check, not a theorem: optimal* is not an
+        upper bound in general (see ``TestRelaxedOptimalCounterexample``).
+        """
         item_id = test_item_ids[item % len(test_item_ids)]
         star = RelaxedOptimalDeadline().value(truth, item_id, budget)
         ours = (
@@ -161,3 +177,72 @@ class TestRelaxedOptimal:
         if not zero_items:
             pytest.skip("no zero-value items in this world sample")
         assert star.recall(truth, zero_items[0], 0.5) == 1.0
+
+
+class _FixedModel:
+    """A zoo member that emits the same labels, at confidence 1, on any item."""
+
+    def __init__(self, name: str, labels: tuple[int, ...]):
+        self.name = name
+        self.time = 0.5
+        self.mem = 1000.0
+        self.labels = labels
+
+    def execute(self, item):
+        return ModelOutput(
+            model=self.name,
+            item_id=item.item_id,
+            labels=tuple(LabelOutput(i, f"label{i}", 1.0) for i in self.labels),
+        )
+
+
+class _FixedPredictor(QValuePredictor):
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def predict(self, state):
+        return self.values.copy()
+
+
+class TestRelaxedOptimalCounterexample:
+    """optimal* (greedy + fractional last model) is not an upper bound.
+
+    Three half-second models emit labels {0, 1}, {0, 2} and {1, 3}.  All
+    three tie on gain per second, so optimal* takes the first, then one
+    of the others: value 3 at a one-second deadline.  The last two
+    together cover all four labels, and Algorithm 1/2 driven by Q values
+    that prefer them collect that 4 within the deadline.
+    """
+
+    @pytest.fixture(scope="class")
+    def world(self, space):
+        zoo = ModelZoo(
+            [
+                _FixedModel("a", (0, 1)),
+                _FixedModel("b", (0, 2)),
+                _FixedModel("c", (1, 3)),
+            ],
+            space,
+        )
+        item = DataItem(item_id="toy/0", dataset="toy", index=0, content=None)
+        return GroundTruth(zoo, [item], WorldConfig()), item.item_id
+
+    def test_algorithm1_beats_relaxed_optimal_deadline(self, world):
+        truth, item_id = world
+        star = RelaxedOptimalDeadline().value(truth, item_id, 1.0)
+        trace = CostQGreedyScheduler(_FixedPredictor([0.0, 2.0, 1.0])).schedule(
+            truth, item_id, 1.0
+        )
+        assert star == pytest.approx(3.0)
+        assert [e.model_name for e in trace.executions] == ["b", "c"]
+        assert trace.value_by(1.0) == pytest.approx(4.0)
+
+    def test_algorithm2_beats_relaxed_optimal_memory(self, world):
+        # One model's memory: the parallel schedule is the serial one.
+        truth, item_id = world
+        star = RelaxedOptimalMemoryDeadline().value(truth, item_id, 1.0, 1000.0)
+        trace = MemoryDeadlineScheduler(_FixedPredictor([0.0, 2.0, 1.0])).schedule(
+            truth, item_id, 1.0, 1000.0
+        )
+        assert star == pytest.approx(3.0)
+        assert trace.value_by(1.0) == pytest.approx(4.0)

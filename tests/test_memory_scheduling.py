@@ -171,6 +171,8 @@ class TestRelaxedOptimalMemory:
     def test_upper_bounds_algorithm2(
         self, truth, predictor, test_item_ids, budget, mem, item
     ):
+        # Empirical on the mini world's sampled items, not a theorem:
+        # test_deadline_scheduling.py pins a schedule beating optimal*.
         item_id = test_item_ids[item % len(test_item_ids)]
         star = RelaxedOptimalMemoryDeadline().value(truth, item_id, budget, mem)
         ours_trace = MemoryDeadlineScheduler(predictor).schedule(
